@@ -1,13 +1,14 @@
 #!/usr/bin/env python
 """Events/sec floor check: fresh bench perf vs the committed baseline.
 
-Wall-clock perf is machine-dependent by design (the ``perf`` section is
-excluded from every determinism gate), but a *hard* engine regression —
-an accidental O(n^2) in the kernel, a fast path silently disabled — shows
-up as a collapse in ``events_per_sec`` that no host difference explains.
-This check compares the rows present in both a fresh run and the
-committed ``BENCH_scenarios.json`` and fails if any fresh row's
-events/sec drops below ``(1 - tolerance)`` of the committed value.  The
+Wall-clock perf is machine-dependent by design (each cell's ``perf``
+block is excluded from every determinism gate), but a *hard* engine
+regression — an accidental O(n^2) in the kernel, a fast path silently
+disabled — shows up as a collapse in ``events_per_sec`` that no host
+difference explains.  This check compares the ``<scenario>/<method>``
+cells that carry a ``perf`` block in both a fresh run and the committed
+``BENCH_scenarios.json`` and fails if any fresh cell's events/sec drops
+below ``(1 - tolerance)`` of the committed value.  The
 default tolerance is deliberately generous (50%): CI runners differ from
 the snapshot host, and rows may run concurrently under ``--jobs``; the
 check is a tripwire for hard regressions, not a benchmark.
@@ -15,7 +16,7 @@ check is a tripwire for hard regressions, not a benchmark.
 Usage:
     python benchmarks/check_perf_floor.py \
         --baseline BENCH_scenarios.json --fresh /tmp/BENCH_smoke.json \
-        [--tolerance 0.5] [--rows steady hot_stripe]
+        [--tolerance 0.5] [--rows steady/tsue hot_stripe/tsue]
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+
+def _perf_blocks(path: str) -> dict:
+    """``{cell: perf}`` for every cell of a bench JSON that carries perf."""
+    with open(path) as fh:
+        cells = json.load(fh).get("cells", {})
+    return {key: row["perf"] for key, row in cells.items() if "perf" in row}
 
 
 def main(argv=None) -> int:
@@ -33,9 +41,10 @@ def main(argv=None) -> int:
                     help="bench JSON from this run")
     ap.add_argument("--tolerance", type=float, default=0.5,
                     help="allowed fractional drop (default 0.5 = 50%%)")
-    ap.add_argument("--rows", nargs="*", default=None, metavar="NAME",
-                    help="restrict the check to these perf rows "
-                         "(default: every row present in both files)")
+    ap.add_argument("--rows", nargs="*", default=None,
+                    metavar="SCENARIO/METHOD",
+                    help="restrict the check to these cells "
+                         "(default: every cell with perf in both files)")
     ap.add_argument("--metric", choices=["events_per_sec",
                                          "events_per_cpu_sec"],
                     default="events_per_sec",
@@ -50,22 +59,22 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        baseline = json.load(open(args.baseline)).get("perf", {})
-        fresh = json.load(open(args.fresh)).get("perf", {})
+        baseline = _perf_blocks(args.baseline)
+        fresh = _perf_blocks(args.fresh)
     except (OSError, ValueError) as exc:
-        print(f"cannot load perf sections: {exc}", file=sys.stderr)
+        print(f"cannot load perf blocks: {exc}", file=sys.stderr)
         return 2
 
     shared = sorted(set(baseline) & set(fresh))
     if args.rows is not None:
         missing = [r for r in args.rows if r not in shared]
         if missing:
-            print(f"requested rows missing from one side: {missing} "
+            print(f"requested cells missing from one side: {missing} "
                   f"(shared: {shared})", file=sys.stderr)
             return 2
         shared = args.rows
     if not shared:
-        print("no perf rows shared between baseline and fresh run",
+        print("no perf cells shared between baseline and fresh run",
               file=sys.stderr)
         return 2
 
@@ -76,7 +85,7 @@ def main(argv=None) -> int:
     if lacking:
         # A baseline written before the metric existed cannot provide a
         # floor for it; failing loudly beats silently checking nothing.
-        print(f"metric {metric!r} missing from rows {lacking}; regenerate "
+        print(f"metric {metric!r} missing from cells {lacking}; regenerate "
               f"the baseline (repro bench --json) or use --metric "
               f"events_per_sec", file=sys.stderr)
         return 2
@@ -96,7 +105,7 @@ def main(argv=None) -> int:
               f"than {args.tolerance:.0%} below the committed baseline",
               file=sys.stderr)
         return 1
-    print(f"perf floor ok over {len(shared)} row(s) "
+    print(f"perf floor ok over {len(shared)} cell(s) "
           f"(metric {metric}, tolerance {args.tolerance:.0%})")
     return 0
 

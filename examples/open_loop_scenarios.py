@@ -24,8 +24,9 @@ from repro.workload import (
     OnOffArrivals,
     OpenLoopGenerator,
     PoissonArrivals,
+    SCENARIOS,
     WorkloadSpec,
-    run_all_scenarios,
+    run_bench_cells,
 )
 
 
@@ -77,6 +78,7 @@ if __name__ == "__main__":
             iodepth=16,
         ),
     )
-    print("scenario registry (repro bench):")
-    for res in run_all_scenarios(requests_per_client=100):
+    print("scenario registry on tsue (repro bench --cells NAME/tsue ...):")
+    cells = [(name, "tsue") for name in sorted(SCENARIOS)]
+    for res in run_bench_cells(cells, requests_per_client=100).values():
         print(res.render())

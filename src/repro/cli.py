@@ -15,9 +15,10 @@ experiment cell:
   ``double_fault`` — and the live-change axis — ``fail_slow``,
   ``congested_fabric``, ``rolling_restart``, ``scale_out_live``,
   ``scale_in_live``);
-* ``bench`` — the scenario registry plus per-method sweeps of one
-  contention scenario (stripe-lock serialization cost), one failure
-  scenario (Fig. 8b-style recovery rows) and the live-change scenarios
+* ``bench`` — a table of ``<scenario>/<method>`` cells: by default the
+  scenario registry on tsue plus every method on the contention scenario
+  (stripe-lock serialization cost), one failure scenario (Fig. 8b-style
+  recovery rows), both scale tiers and the live-change scenarios
   (straggler/migration rows), with an optional JSON baseline.
 """
 
@@ -126,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "defined, 200 for smoke rows)")
     sc.add_argument("--seed", type=int, default=7)
 
-    be = sub.add_parser("bench", help="run every scenario; smoke perf baseline")
+    be = sub.add_parser("bench", help="scenario x method cell table; "
+                                      "smoke perf baseline")
     be.add_argument("--clients", type=int, default=None,
                     help="override every scenario's client count (default: "
                          "native sizes — 4 for smoke rows, 32 for scale_up)")
@@ -134,39 +136,21 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override requests per client (default: native "
                          "sizes — 200 for smoke rows, 2000 for scale_up)")
     be.add_argument("--seed", type=int, default=7)
-    be.add_argument("--scenarios", nargs="+", default=None, metavar="NAME",
-                    help="limit the registry run to these scenarios "
-                         "(default: all)")
-    be.add_argument("--methods", nargs="*", default=None, metavar="METHOD",
-                    help="per-method sweep rows on --method-scenario "
-                         "(default: all seven; pass with no values to skip "
-                         "the sweep)")
-    be.add_argument("--method-scenario", default="hot_stripe",
-                    help="scenario the per-method sweep runs (default: "
-                         "hot_stripe)")
-    be.add_argument("--recovery-scenario", default="rebuild_under_load",
-                    help="failure scenario for the per-method recovery "
-                         "sweep (default: rebuild_under_load; \"none\" "
-                         "skips it)")
-    be.add_argument("--scale-up-scenario", default="scale_up",
-                    help="scenario for the per-method 10x-scale sweep "
-                         "(default: scale_up; \"none\" skips it)")
-    be.add_argument("--scale-out-scenario", default="scale_out",
-                    help="scenario for the per-method ghost-plane cluster "
-                         "sweep (default: scale_out; \"none\" skips it)")
-    be.add_argument("--elastic-scenarios", nargs="+", default=None,
-                    metavar="NAME",
-                    help="live-change scenarios for the per-method elastic "
-                         "sweeps (default: all seven — fail_slow, "
-                         "congested_fabric, rolling_restart, scale_out_live, "
-                         "scale_in_live, lossy_cluster, throttled_rebalance; "
-                         "\"none\" skips them)")
+    be.add_argument("--cells", nargs="+", default=None,
+                    metavar="SCENARIO/METHOD",
+                    help="cells to run; METHOD * means every method "
+                         "(default: every scenario on tsue, plus every "
+                         "method on hot_stripe, rebuild_under_load, "
+                         "scale_up, scale_out and the live-change "
+                         "scenarios)")
     be.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                    help="fan scenario x method rows out over N worker "
-                         "processes (each row is an isolated simulator; "
-                         "rows are merged deterministically, so output is "
-                         "identical to --jobs 1, the serial reference "
-                         "path)")
+                    help="fan cells out over N worker processes, a fresh "
+                         "one per cell so each peak_rss_kb is its own "
+                         "(rows are merged deterministically, so output is "
+                         "identical to --jobs 1, the in-process reference "
+                         "path, which reports cumulative RSS); above the "
+                         "CPUs this process may use no perf blocks are "
+                         "written")
     be.add_argument("--json", nargs="?", const="BENCH_scenarios.json",
                     default=None, metavar="PATH",
                     help="also write a JSON baseline (default PATH: "
@@ -180,12 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--check-baseline", nargs="?",
                     const="BENCH_scenarios.json", default=None,
                     metavar="PATH",
-                    help="after the run, diff the simulated-output rows "
-                         "(scenarios/methods/recovery/scale_up/scale_out/"
-                         "elastic — the machine-dependent perf section is "
-                         "ignored) "
-                         "against an existing baseline, reporting the first "
-                         "differing JSON leaf cells; exit 3 on drift")
+                    help="after the run, diff every cell's simulated "
+                         "output (each cell's machine-dependent perf block "
+                         "is ignored) against an existing baseline, "
+                         "reporting the first differing JSON leaves; exit "
+                         "3 on drift")
     return ap
 
 
@@ -214,15 +197,22 @@ def _git_changed_files():
     }
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask), not the host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _leaf_diffs(path: str, a, b, out: list) -> None:
     """Append ``path: old -> new`` lines for every differing JSON *leaf*.
 
-    Recurses through nested dicts so a changed cell inside, say, a row's
-    ``recovery`` sub-table reports the exact dotted leaf
-    (``recovery.tsue.recovery.drain_s: 0.1 -> 0.2``) instead of dumping
-    both whole row dicts.  Keys only one side has are leaves too (reported
-    with the sentinel ``<absent>``); mismatched shapes (dict vs scalar)
-    bottom out at the current path.
+    Recurses through nested dicts so a changed leaf inside, say, a row's
+    ``recovery`` sub-table reports the exact dotted path
+    (``rebuild_under_load/tsue.recovery.drain_s: 0.1 -> 0.2``) instead of
+    dumping both whole row dicts.  Keys only one side has are leaves too
+    (reported with the sentinel ``<absent>``); mismatched shapes (dict vs
+    scalar) bottom out at the current path.
     """
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
@@ -243,32 +233,31 @@ def _leaf_diffs(path: str, a, b, out: list) -> None:
 def _baseline_drift(baseline: dict, payload: dict) -> list:
     """Leaf cells that changed vs an existing baseline (the determinism gate).
 
-    Compares the *simulated-output* sections (``scenarios`` / ``methods`` /
-    ``recovery`` / ``scale_up`` / ``scale_out`` / ``elastic``) for every
-    row present in both the baseline and this run, recursing to the first differing JSON
-    leaf so a drifted run reports exact dotted paths and old/new cell
-    values, not wholesale row dumps.  The machine-dependent ``perf``
-    section is ignored, and rows only this run has (e.g. a freshly added
-    scenario) are additions, not drift.  ``baseline`` is the decoded
-    JSON — loaded by the caller *before* any ``--json`` write, so checking
+    Compares every cell present in both the baseline and this run,
+    recursing to the first differing JSON leaf so a drifted run reports
+    exact dotted paths and old/new values, not wholesale row dumps.  Each
+    cell's machine-dependent ``perf`` block is ignored, and cells only
+    this run has (e.g. a freshly added scenario) are additions, not drift.
+    A baseline cell this run did not produce is drift too: a silent loss
+    of coverage must not read as clean, so check against the full default
+    cell set the baseline was made from.  ``baseline`` is the decoded JSON,
+    loaded by the caller *before* any ``--json`` write, so checking
     against the same path that is being regenerated still compares old vs
     new.
     """
-    drift = []
-    sections = (
-        "scenarios", "methods", "recovery", "scale_up", "scale_out", "elastic",
-    )
-    for section in sections:
-        old = baseline.get(section, {})
-        new = payload.get(section, {})
-        # A baseline row this run did not produce is drift too — a silent
-        # loss of coverage must not read as "clean".  (Narrowed runs, e.g.
-        # --scenarios steady, will legitimately trip this; check against
-        # the full registry run the baseline was made from.)
-        for row in sorted(set(old) - set(new)):
-            drift.append(f"{section}.{row}: present in baseline, missing from this run")
-        for row in sorted(set(old) & set(new)):
-            _leaf_diffs(f"{section}.{row}", old[row], new[row], drift)
+    old = baseline["cells"]
+    new = payload["cells"]
+    drift = [
+        f"{cell}: present in baseline, missing from this run"
+        for cell in sorted(set(old) - set(new))
+    ]
+    for cell in sorted(set(old) & set(new)):
+        _leaf_diffs(
+            cell,
+            {k: v for k, v in old[cell].items() if k != "perf"},
+            {k: v for k, v in new[cell].items() if k != "perf"},
+            drift,
+        )
     return drift
 
 
@@ -438,54 +427,35 @@ def main(argv=None) -> int:
         import json
 
         from repro.workload import (
-            ELASTIC_SCENARIOS,
-            METHODS,
-            SCENARIOS,
             InconsistentDrainError,
             PostRecoveryScrubError,
-            results_to_json,
+            bench_cells,
+            cells_to_json,
             run_bench_cells,
         )
 
-        # Validate selectors before simulating anything: a typo must not
-        # cost minutes of registry runs and end in a raw traceback.
-        known = ", ".join(sorted(SCENARIOS))
-        unknown = [n for n in (args.scenarios or []) if n not in SCENARIOS]
-        if args.method_scenario not in SCENARIOS:
-            unknown.append(args.method_scenario)
-        if args.recovery_scenario != "none" and (
-            args.recovery_scenario not in SCENARIOS
-        ):
-            unknown.append(args.recovery_scenario)
-        if args.scale_up_scenario != "none" and (
-            args.scale_up_scenario not in SCENARIOS
-        ):
-            unknown.append(args.scale_up_scenario)
-        if args.scale_out_scenario != "none" and (
-            args.scale_out_scenario not in SCENARIOS
-        ):
-            unknown.append(args.scale_out_scenario)
-        elastic_names = (
-            list(ELASTIC_SCENARIOS) if args.elastic_scenarios is None
-            else [n for n in args.elastic_scenarios if n != "none"]
-        )
-        unknown.extend(n for n in elastic_names if n not in SCENARIOS)
-        if unknown:
-            print(f"unknown scenario(s) {unknown}; known: {known}",
-                  file=sys.stderr)
-            return 2
-        unknown = [m for m in (args.methods or []) if m not in METHODS]
-        if unknown:
-            print(f"unknown method(s) {unknown}; known: "
-                  f"{', '.join(METHODS)}", file=sys.stderr)
+        # Validate the selection before simulating anything: a typo must
+        # not cost minutes of cell runs and end in a raw traceback.
+        try:
+            cells = bench_cells(args.cells)
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
             return 2
         if args.jobs < 1:
             print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
             return 2
         if args.profile and args.jobs > 1:
-            print("--profile needs --jobs 1 (rows run in worker processes "
+            print("--profile needs --jobs 1 (cells run in worker processes "
                   "the parent profiler cannot see)", file=sys.stderr)
             return 2
+        # Oversubscribed workers time each other's preemption, not the
+        # engine: such numbers must never become a committed perf floor.
+        n_cpus = _usable_cpus()
+        keep_perf = args.jobs <= n_cpus
+        if not keep_perf:
+            print(f"--jobs {args.jobs} exceeds the {n_cpus} CPU(s) this "
+                  "process may use: writing cells without perf blocks",
+                  file=sys.stderr)
 
         # Load the baseline BEFORE simulating (fail fast on a bad path) and
         # before any --json write — `bench --json --check-baseline` with
@@ -499,6 +469,11 @@ def main(argv=None) -> int:
                 print(f"cannot load baseline {args.check_baseline}: {exc}",
                       file=sys.stderr)
                 return 2
+            if baseline.get("bench") != "cells":
+                print(f"baseline {args.check_baseline} is not a cells "
+                      "table (regenerate it with repro bench --json)",
+                      file=sys.stderr)
+                return 2
 
         profiler = None
         if args.profile:
@@ -507,67 +482,17 @@ def main(argv=None) -> int:
             profiler = cProfile.Profile()
             profiler.enable()
 
-        scale = dict(
-            seed=args.seed,
-            n_clients=args.clients,
-            requests_per_client=args.requests,
-        )
-        registry_names = (
-            sorted(SCENARIOS) if args.scenarios is None else args.scenarios
-        )
-        sweep_methods = ()
-        if args.methods is None or args.methods:
-            sweep_methods = tuple(METHODS if args.methods is None else args.methods)
-        # One row list, one executor: the full scenario x method cell set
-        # in canonical order.  run_bench_cells de-duplicates (a sweep cell
-        # that equals a registry cell simulates once) and returns a
-        # cell-keyed mapping, so the sections below assemble identically
-        # whether the cells ran serially (--jobs 1, the in-process
-        # reference path) or over a process pool.
-        rows = [(n, "tsue") for n in registry_names]
-        sweep_scenarios = []
-        if sweep_methods:
-            sweep_scenarios.append(args.method_scenario)
-            if args.recovery_scenario != "none":
-                sweep_scenarios.append(args.recovery_scenario)
-            if args.scale_up_scenario != "none":
-                sweep_scenarios.append(args.scale_up_scenario)
-            if args.scale_out_scenario != "none":
-                sweep_scenarios.append(args.scale_out_scenario)
-            sweep_scenarios.extend(elastic_names)
-        for s in sweep_scenarios:
-            rows.extend((s, m) for m in sweep_methods)
         try:
-            cells = run_bench_cells(rows, jobs=args.jobs, **scale)
+            results = run_bench_cells(
+                cells,
+                jobs=args.jobs,
+                seed=args.seed,
+                n_clients=args.clients,
+                requests_per_client=args.requests,
+            )
         except (InconsistentDrainError, PostRecoveryScrubError) as exc:
             print(f"FAIL: {exc}", file=sys.stderr)
             return 1
-        results = [cells[(n, "tsue")] for n in registry_names]
-        method_rows = []
-        recovery_rows = []
-        scale_up_rows = []
-        scale_out_rows = []
-        elastic_rows = {}
-        if sweep_methods:
-            method_rows = [
-                cells[(args.method_scenario, m)] for m in sweep_methods
-            ]
-            if args.recovery_scenario != "none":
-                recovery_rows = [
-                    cells[(args.recovery_scenario, m)] for m in sweep_methods
-                ]
-            if args.scale_up_scenario != "none":
-                scale_up_rows = [
-                    cells[(args.scale_up_scenario, m)] for m in sweep_methods
-                ]
-            if args.scale_out_scenario != "none":
-                scale_out_rows = [
-                    cells[(args.scale_out_scenario, m)] for m in sweep_methods
-                ]
-            elastic_rows = {
-                s: [cells[(s, m)] for m in sweep_methods]
-                for s in elastic_names
-            }
 
         if profiler is not None:
             import io
@@ -582,32 +507,9 @@ def main(argv=None) -> int:
                 fh.write(buf.getvalue())
             print(f"wrote {args.profile}")
 
-        for res in results:
+        for res in results.values():
             print(res.render())
-        if method_rows:
-            print(f"--- per-method rows ({args.method_scenario}) ---")
-            for res in method_rows:
-                print(res.render())
-        if recovery_rows:
-            print(f"--- per-method recovery rows ({args.recovery_scenario}) ---")
-            for res in recovery_rows:
-                print(res.render())
-        if scale_up_rows:
-            print(f"--- per-method 10x rows ({args.scale_up_scenario}) ---")
-            for res in scale_up_rows:
-                print(res.render())
-        if scale_out_rows:
-            print(f"--- per-method ghost-plane cluster rows "
-                  f"({args.scale_out_scenario}) ---")
-            for res in scale_out_rows:
-                print(res.render())
-        for s, rows_ in elastic_rows.items():
-            print(f"--- per-method live-change rows ({s}) ---")
-            for res in rows_:
-                print(res.render())
-        payload = results_to_json(results, method_rows, recovery_rows,
-                                  scale_up_rows, scale_out_rows,
-                                  elastic_rows=elastic_rows)
+        payload = cells_to_json(results, perf=keep_perf)
         if args.json:
             import tempfile
 

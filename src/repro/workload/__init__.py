@@ -47,11 +47,10 @@ from repro.workload.scenarios import (
     PostRecoveryScrubError,
     Scenario,
     ScenarioResult,
+    bench_cells,
+    cells_to_json,
     register_scenario,
-    results_to_json,
-    run_all_scenarios,
     run_bench_cells,
-    run_method_sweep,
     run_scenario,
     scenario_config,
 )
@@ -73,13 +72,12 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "WorkloadSpec",
+    "bench_cells",
+    "cells_to_json",
     "client_victim",
     "primary_victim",
     "register_scenario",
-    "results_to_json",
-    "run_all_scenarios",
     "run_bench_cells",
-    "run_method_sweep",
     "run_scenario",
     "scenario_config",
     "secondary_victim",

@@ -3,8 +3,8 @@
 Each scenario is a reusable recipe: an arrival process, a pipelining depth,
 a read/update mix, a tenant layout and (optionally) a custom record stream,
 run against a small-but-real cluster through the standard harness config.
-``repro scenario <name>`` runs one, ``repro bench`` runs the whole registry
-— plus a per-method sweep of one scenario — and emits a throughput +
+``repro scenario <name>`` runs one, ``repro bench`` runs a table of
+``<scenario>/<method>`` cells (:func:`bench_cells`) and emits a throughput +
 p50/p95/p99 + lock-wait baseline that later scaling PRs diff against.
 
 Scenario runs verify *parity consistency* (stored parity equals re-encoded
@@ -421,7 +421,7 @@ register_scenario(Scenario(
     ),
 ))
 
-# The live-change sweep set (``repro bench`` runs each over every method)
+# The live-change sweep set (``repro bench`` runs each on every method)
 # and the actions whose presence makes a scenario report an ``elastic``
 # metrics section.
 ELASTIC_SCENARIOS = (
@@ -474,8 +474,8 @@ class ScenarioResult:
     # Wall-clock measurement of this run (wall seconds, kernel events,
     # events/sec, peak RSS).  Machine-dependent by nature, so it is NOT
     # part of to_dict() — the simulated-output rows must stay bit-exact
-    # across hosts; ``results_to_json`` publishes it as a separate ``perf``
-    # section instead.
+    # across hosts; ``cells_to_json`` publishes it as each cell's separate
+    # ``perf`` block instead.
     perf: Optional[Dict[str, float]] = None
     # Which payload plane the run used.  Serialized (and rendered) only
     # when True so every pre-existing baseline row stays bit-identical.
@@ -1093,23 +1093,50 @@ METHODS = tuple(m for m in _METHOD_ORDER if m in STRATEGIES) + tuple(
 )
 
 
-def run_all_scenarios(
-    names: Optional[Sequence[str]] = None, **kwargs
-) -> List[ScenarioResult]:
-    """Run every registered scenario (or ``names``, in that order).
+# The scenarios ``repro bench`` runs on every method by default: lock
+# contention, Fig. 8b-style recovery, both scale tiers and the live-change
+# axis.  Every other registered scenario runs on tsue alone.
+BENCH_SWEEPS = (
+    "hot_stripe", "rebuild_under_load", "scale_up", "scale_out",
+) + ELASTIC_SCENARIOS
 
-    ``names=None`` means "all, sorted"; an explicitly-passed empty
-    selection is a caller bug and raises rather than silently running the
-    full registry.
+
+def bench_cells(specs: Optional[Sequence[str]] = None) -> List[Tuple[str, str]]:
+    """Expand ``SCENARIO/METHOD`` selectors into ``(scenario, method)`` cells.
+
+    METHOD ``*`` means every entry of :data:`METHODS`, in that order.
+    ``None`` selects the default bench: every registered scenario on tsue,
+    then every method on each of :data:`BENCH_SWEEPS`, so the default
+    list repeats the swept scenarios' tsue cells; :func:`run_bench_cells`
+    runs each cell once.  An unknown scenario or method raises
+    ``ValueError`` before anything runs, and so does an explicitly empty
+    selection rather than silently running the default set.
     """
-    if names is None:
-        names = sorted(SCENARIOS)
-    elif not names:
-        raise ValueError("empty scenario selection (pass None for all)")
-    return [run_scenario(n, **kwargs) for n in names]
+    if specs is None:
+        specs = [f"{name}/tsue" for name in sorted(SCENARIOS)]
+        specs += [f"{name}/*" for name in BENCH_SWEEPS]
+    elif not specs:
+        raise ValueError("empty cell selection (pass None for the default)")
+    cells = []
+    for spec in specs:
+        name, _, method = spec.partition("/")
+        if name not in SCENARIOS:
+            raise ValueError(
+                f"unknown scenario {name!r} in cell {spec!r}; known: "
+                f"{', '.join(sorted(SCENARIOS))}"
+            )
+        if method != "*" and method not in METHODS:
+            raise ValueError(
+                f"unknown method {method!r} in cell {spec!r}; known: "
+                f"{', '.join(METHODS)} (or *)"
+            )
+        cells.extend(
+            (name, m) for m in (METHODS if method == "*" else (method,))
+        )
+    return cells
 
 
-def _bench_row_worker(args):
+def _bench_cell_worker(args):
     """Top-level process-pool worker: one ``(scenario, method)`` cell.
 
     Importable at module scope so it pickles under any multiprocessing
@@ -1121,23 +1148,23 @@ def _bench_row_worker(args):
 
 
 def run_bench_cells(
-    rows: Sequence[Tuple[str, str]], jobs: int = 1, **kwargs
+    cells: Sequence[Tuple[str, str]], jobs: int = 1, **kwargs
 ) -> Dict[Tuple[str, str], ScenarioResult]:
     """Run unique ``(scenario, method)`` cells, optionally over a pool.
 
-    The parallel bench orchestrator: every cell is an isolated
-    :class:`Simulator` and a pure function of its arguments, so cells
-    fan out over a ``multiprocessing`` pool with no shared state.  Rows
-    are de-duplicated (a registry row that reappears in a sweep runs
-    once), and the returned mapping is keyed by cell, so callers
-    assemble output sections in canonical order regardless of worker
-    completion order — ``--jobs N`` output is byte-identical to the
-    serial reference path.
+    Every cell is an isolated :class:`Simulator` and a pure function of
+    its arguments, so cells fan out over a ``multiprocessing`` pool with
+    no shared state.  Duplicate cells run once (first occurrence wins),
+    and the returned mapping follows the order of ``cells`` regardless of
+    worker completion order, so ``--jobs N`` output is byte-identical to
+    the serial path.
 
-    ``jobs <= 1`` runs in-process (no pool, no pickling) and remains the
-    reference implementation.
+    Each pooled cell gets a fresh worker process (``maxtasksperchild=1``),
+    so its ``peak_rss_kb`` is its own.  ``jobs <= 1`` runs in-process (no
+    pool, no pickling, cumulative RSS) and remains the reference
+    implementation.
     """
-    unique = list(dict.fromkeys((name, method) for name, method in rows))
+    unique = list(dict.fromkeys(cells))
     if jobs <= 1:
         return {
             (name, method): run_scenario(name, method=method, **kwargs)
@@ -1147,101 +1174,25 @@ def run_bench_cells(
 
     work = [(name, method, kwargs) for name, method in unique]
     n_procs = min(jobs, len(work)) or 1
-    with mp.get_context().Pool(processes=n_procs) as pool:
-        done = pool.map(_bench_row_worker, work, chunksize=1)
+    with mp.get_context().Pool(processes=n_procs, maxtasksperchild=1) as pool:
+        done = pool.map(_bench_cell_worker, work, chunksize=1)
     return {(name, method): res for name, method, res in done}
 
 
-def run_method_sweep(
-    scenario: str = "hot_stripe",
-    methods: Optional[Sequence[str]] = None,
-    reuse: Sequence[ScenarioResult] = (),
-    **kwargs,
-) -> List[ScenarioResult]:
-    """One row per update method on one scenario.
-
-    The serialization-cost table: on ``hot_stripe`` the in-place methods
-    pay measurable stripe-lock waits while ``tsue``/``fl`` acquire no locks
-    at all, so the per-method deltas quantify what update serialization
-    costs each family.
-
-    ``reuse`` is an iterable of already-computed results *for the same
-    scale arguments*; a row whose ``(scenario, method)`` cell appears
-    there is taken from it instead of re-simulated (runs are pure
-    functions of their arguments, so the cached row is identical).
-    """
-    if methods is None:
-        methods = METHODS
-    elif not methods:
-        raise ValueError("empty method selection (pass None for all)")
-    cached = {r.method: r for r in reuse if r.name == scenario}
-    return [
-        cached.get(m) or run_scenario(scenario, method=m, **kwargs)
-        for m in methods
-    ]
-
-
-def results_to_json(
-    results: Sequence[ScenarioResult],
-    method_rows: Sequence[ScenarioResult] = (),
-    recovery_rows: Sequence[ScenarioResult] = (),
-    scale_up_rows: Sequence[ScenarioResult] = (),
-    scale_out_rows: Sequence[ScenarioResult] = (),
-    elastic_rows: Optional[Dict[str, Sequence[ScenarioResult]]] = None,
+def cells_to_json(
+    results: Dict[Tuple[str, str], ScenarioResult], perf: bool = True
 ) -> dict:
-    """The ``BENCH_scenarios.json`` baseline payload.
+    """The ``BENCH_scenarios.json`` payload: one row per cell.
 
-    ``recovery_rows`` is a per-method sweep of a failure scenario — the
-    Fig. 8b-style table (recovery MB/s, degraded p99, foreground dip per
-    method) lands under ``"recovery"``; ``scale_up_rows`` is the
-    per-method sweep of the 10x ``scale_up`` tier; ``scale_out_rows`` is
-    the per-method sweep of the ghost-plane ``scale_out`` tier (1024
-    clients x 256 OSDs); ``elastic_rows`` maps live-change scenario name
-    -> per-method sweep, landing under ``"elastic"`` as
-    ``{scenario: {method: row}}``.  The ``perf`` section is wall-clock
-    measurement (seconds, kernel events/sec, peak RSS) —
-    machine-dependent, kept OUT of the simulated-output rows so those stay
-    bit-exact across hosts; determinism gates must ignore it.
+    Keys are ``"<scenario>/<method>"``; each row is the result's
+    ``to_dict()`` plus, when ``perf`` is set, its machine-dependent
+    ``perf`` block (wall/CPU seconds, kernel events, peak RSS).
+    Determinism gates must ignore that block.
     """
-    payload = {
-        "bench": "scenarios",
-        "scenarios": {r.name: r.to_dict() for r in results},
-    }
-    if method_rows:
-        payload["methods"] = {
-            r.method: r.to_dict() for r in method_rows
-        }
-    if recovery_rows:
-        payload["recovery"] = {
-            r.method: r.to_dict() for r in recovery_rows
-        }
-    if scale_up_rows:
-        payload["scale_up"] = {
-            r.method: r.to_dict() for r in scale_up_rows
-        }
-    if scale_out_rows:
-        payload["scale_out"] = {
-            r.method: r.to_dict() for r in scale_out_rows
-        }
-    if elastic_rows:
-        payload["elastic"] = {
-            scenario: {r.method: r.to_dict() for r in rows}
-            for scenario, rows in elastic_rows.items()
-        }
-    perf = {r.name: dict(r.perf) for r in results if r.perf}
-    if scale_up_rows:
-        perf.update(
-            {f"scale_up/{r.method}": dict(r.perf) for r in scale_up_rows if r.perf}
-        )
-    if scale_out_rows:
-        perf.update(
-            {f"scale_out/{r.method}": dict(r.perf) for r in scale_out_rows if r.perf}
-        )
-    if elastic_rows:
-        for scenario, rows in elastic_rows.items():
-            perf.update(
-                {f"{scenario}/{r.method}": dict(r.perf) for r in rows if r.perf}
-            )
-    if perf:
-        payload["perf"] = perf
-    return payload
+    out = {}
+    for (name, method), res in results.items():
+        row = res.to_dict()
+        if perf and res.perf:
+            row["perf"] = dict(res.perf)
+        out[f"{name}/{method}"] = row
+    return {"bench": "cells", "cells": out}

@@ -504,41 +504,21 @@ def test_cli_bench_elastic_rows(tmp_path, capsys):
 
     path = tmp_path / "bench.json"
     rc = main(["bench", "--clients", "2", "--requests", "30",
-               "--scenarios", "steady", "--methods", "tsue",
-               "--recovery-scenario", "none",
-               "--scale-up-scenario", "none",
-               "--scale-out-scenario", "none",
-               "--elastic-scenarios", "fail_slow",
+               "--cells", "steady/tsue", "fail_slow/tsue",
                "--json", str(path)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "per-method live-change rows (fail_slow)" in out
-    payload = json.loads(path.read_text())
-    row = payload["elastic"]["fail_slow"]["tsue"]
+    assert "scenario=fail_slow method=tsue" in out
+    row = json.loads(path.read_text())["cells"]["fail_slow/tsue"]
     assert row["consistent"] is True
     assert row["elastic"]["slow_events"] == 1.0
-    assert payload["perf"]["fail_slow/tsue"]["wall_s"] > 0
-
-
-def test_cli_bench_elastic_none_skips(tmp_path):
-    from repro.cli import main
-
-    path = tmp_path / "bench.json"
-    rc = main(["bench", "--clients", "2", "--requests", "30",
-               "--scenarios", "steady", "--methods", "tsue",
-               "--recovery-scenario", "none",
-               "--scale-up-scenario", "none",
-               "--scale-out-scenario", "none",
-               "--elastic-scenarios", "none",
-               "--json", str(path)])
-    assert rc == 0
-    assert "elastic" not in json.loads(path.read_text())
+    assert row["perf"]["wall_s"] > 0
 
 
 def test_cli_bench_unknown_elastic_scenario_fails_fast(capsys):
     from repro.cli import main
 
-    rc = main(["bench", "--elastic-scenarios", "bogus"])
+    rc = main(["bench", "--cells", "bogus/*"])
     assert rc == 2
     assert "bogus" in capsys.readouterr().err
 

@@ -409,27 +409,12 @@ def test_cli_bench_recovery_rows(tmp_path, capsys):
 
     path = tmp_path / "bench.json"
     rc = main(["bench", "--clients", "2", "--requests", "30",
-               "--scenarios", "steady", "--methods", "tsue",
-               "--recovery-scenario", "rebuild_under_load",
+               "--cells", "steady/tsue", "rebuild_under_load/tsue",
                "--json", str(path)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "per-method recovery rows (rebuild_under_load)" in out
-    payload = json.loads(path.read_text())
-    row = payload["recovery"]["tsue"]
+    assert "scenario=rebuild_under_load method=tsue" in out
+    row = json.loads(path.read_text())["cells"]["rebuild_under_load/tsue"]
     assert row["consistent"] is True
     assert row["recovery"]["scrub_clean"] is True
     assert row["recovery"]["recovery_mbps"] > 0
-
-
-def test_cli_bench_recovery_none_skips(tmp_path):
-    import json
-
-    from repro.cli import main
-
-    path = tmp_path / "bench.json"
-    rc = main(["bench", "--clients", "2", "--requests", "30",
-               "--scenarios", "steady", "--methods", "tsue",
-               "--recovery-scenario", "none", "--json", str(path)])
-    assert rc == 0
-    assert "recovery" not in json.loads(path.read_text())

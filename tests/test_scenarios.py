@@ -9,12 +9,13 @@ from repro.workload import (
     SCENARIOS,
     Scenario,
     PoissonArrivals,
+    bench_cells,
+    cells_to_json,
     register_scenario,
-    results_to_json,
-    run_all_scenarios,
-    run_method_sweep,
+    run_bench_cells,
     run_scenario,
 )
+from repro.workload.scenarios import BENCH_SWEEPS
 
 SMOKE = dict(n_clients=2, requests_per_client=40)
 
@@ -88,40 +89,41 @@ def test_scenarios_deterministic_for_fixed_seed():
     assert c.to_dict() != a.to_dict()
 
 
-def test_run_all_scenarios_and_json_payload():
-    results = run_all_scenarios(names=["steady", "mixed_rw"], **SMOKE)
-    payload = results_to_json(results)
-    assert payload["bench"] == "scenarios"
-    assert set(payload["scenarios"]) == {"steady", "mixed_rw"}
-    assert "methods" not in payload
+def test_run_bench_cells_and_json_payload():
+    results = run_bench_cells(
+        bench_cells(["steady/tsue", "mixed_rw/tsue"]), **SMOKE
+    )
+    payload = cells_to_json(results)
+    assert payload["bench"] == "cells"
+    assert set(payload) == {"bench", "cells"}
+    assert set(payload["cells"]) == {"steady/tsue", "mixed_rw/tsue"}
     doc = json.dumps(payload)  # must be JSON-serialisable
     assert "p99_latency_us" in doc
     assert "lock_wait_p99_us" in doc
 
 
-def test_run_all_scenarios_rejects_empty_explicit_selection():
-    with pytest.raises(ValueError, match="empty scenario selection"):
-        run_all_scenarios(names=[], **SMOKE)
+def test_bench_cells_rejects_empty_explicit_selection():
+    with pytest.raises(ValueError, match="empty cell selection"):
+        bench_cells([])
 
 
 def test_method_sweep_rows_and_json_section():
-    rows = run_method_sweep(
-        scenario="hot_stripe", methods=["fo", "tsue"], **SMOKE
+    results = run_bench_cells(
+        bench_cells(["hot_stripe/fo", "hot_stripe/tsue"]), **SMOKE
     )
+    rows = list(results.values())
     assert [r.method for r in rows] == ["fo", "tsue"]
     assert all(r.name == "hot_stripe" and r.consistent for r in rows)
-    payload = results_to_json([], method_rows=rows)
-    assert set(payload["methods"]) == {"fo", "tsue"}
-    assert payload["methods"]["fo"]["lock_acquisitions"] > 0
-    assert payload["methods"]["tsue"]["lock_acquisitions"] == 0
-    with pytest.raises(ValueError, match="empty method selection"):
-        run_method_sweep(methods=[], **SMOKE)
-    # Matching (scenario, method) cells from `reuse` are returned as-is
-    # instead of re-simulated.
-    reused = run_method_sweep(
-        scenario="hot_stripe", methods=["tsue", "fl"], reuse=rows, **SMOKE
-    )
-    assert reused[0] is rows[1] and reused[1].method == "fl"
+    cells = cells_to_json(results)["cells"]
+    assert set(cells) == {"hot_stripe/fo", "hot_stripe/tsue"}
+    assert cells["hot_stripe/fo"]["lock_acquisitions"] > 0
+    assert cells["hot_stripe/tsue"]["lock_acquisitions"] == 0
+    # Each cell carries its own perf block; perf=False drops them all.
+    assert cells["hot_stripe/fo"]["perf"]["wall_s"] > 0
+    bare = cells_to_json(results, perf=False)["cells"]
+    assert bare["hot_stripe/fo"] == {
+        k: v for k, v in cells["hot_stripe/fo"].items() if k != "perf"
+    }
 
 
 def test_methods_tuple_covers_the_strategy_registry():
@@ -158,82 +160,85 @@ def test_cli_bench_writes_json_baseline(tmp_path, capsys):
     from repro.cli import main
 
     path = tmp_path / "BENCH_scenarios.json"
+    # Every registered scenario on tsue, plus fo (stripe-locked RMW) and
+    # tsue on every swept scenario: rc == 0 means all of them drained
+    # consistently and passed their post-recovery scrub.
+    registry = [f"{name}/tsue" for name in sorted(SCENARIOS)]
+    swept = [f"{s}/{m}" for s in BENCH_SWEEPS for m in ("fo", "tsue")]
     rc = main(["bench", "--clients", "2", "--requests", "30",
-               "--methods", "fo", "tsue", "--json", str(path)])
+               "--cells", *registry, *swept, "--json", str(path)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "per-method rows (hot_stripe)" in out
-    payload = json.loads(path.read_text())
-    assert set(payload["scenarios"]) >= {"steady", "burst", "diurnal",
-                                         "mixed_rw", "hot_stripe"}
-    for entry in payload["scenarios"].values():
+    assert "scenario=hot_stripe method=fo" in out
+    cells = json.loads(path.read_text())["cells"]
+    assert set(cells) == set(registry) | set(swept)
+    for key in registry:
+        entry = cells[key]
         assert entry["consistent"] is True
         assert entry["iops"] > 0
         assert entry["lock_wait_mean_us"] >= 0.0
-    assert set(payload["methods"]) == {"fo", "tsue"}
+    for name in BENCH_SWEEPS:
+        assert {k for k in cells if k.startswith(f"{name}/")} == {
+            f"{name}/fo", f"{name}/tsue"}
 
 
 def test_cli_bench_scale_out_rows(tmp_path, capsys):
     from repro.cli import main
 
     path = tmp_path / "bench.json"
-    base = ["bench", "--clients", "2", "--requests", "10",
-            "--scenarios", "steady", "--methods", "tsue", "fl",
-            "--recovery-scenario", "none", "--scale-up-scenario", "none"]
-    rc = main(base + ["--json", str(path)])
+    rc = main(["bench", "--clients", "2", "--requests", "10",
+               "--cells", "steady/tsue", "scale_out/tsue", "scale_out/fl",
+               "--json", str(path)])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "ghost-plane cluster rows (scale_out)" in out
-    payload = json.loads(path.read_text())
-    assert set(payload["scale_out"]) == {"tsue", "fl"}
-    for row in payload["scale_out"].values():
-        assert row["ghost_dataplane"] is True
-        assert row["consistent"] is True
-    assert payload["perf"]["scale_out/tsue"]["ghost_dataplane"] == 1.0
-    # Registry rows stay plane-free: no ghost key anywhere in them.
-    for row in payload["scenarios"].values():
-        assert "ghost_dataplane" not in row
-    # "none" skips the sweep entirely.
-    rc = main(base + ["--scale-out-scenario", "none", "--json", str(path)])
-    assert rc == 0
-    capsys.readouterr()
-    assert "scale_out" not in json.loads(path.read_text())
+    cells = json.loads(path.read_text())["cells"]
+    for key in ("scale_out/tsue", "scale_out/fl"):
+        assert cells[key]["ghost_dataplane"] is True
+        assert cells[key]["consistent"] is True
+    assert cells["scale_out/tsue"]["perf"]["ghost_dataplane"] == 1.0
+    # Byte-plane rows stay plane-free: no ghost key anywhere in them.
+    assert "ghost_dataplane" not in cells["steady/tsue"]
 
 
 def test_baseline_drift_reports_leaf_paths():
     from repro.cli import _baseline_drift
 
-    base = {
-        "scenarios": {
-            "steady": {"iops": 1.0, "recovery": {"drain_s": 0.1},
-                       "gone": 4},
-        },
-        "recovery": {"tsue": {"p99": 5.0}},
-        "scale_out": {"fl": {"updates": 10}},
-        "perf": {"steady": {"wall_s": 1.0}},
-    }
-    new = {
-        "scenarios": {
-            "steady": {"iops": 2.0, "recovery": {"drain_s": 0.1},
-                       "fresh": 9},
-            "burst": {"iops": 3.0},
-        },
-        "scale_out": {"fl": {"updates": 12}},
-        "perf": {"steady": {"wall_s": 9.0}},
-    }
+    base = {"bench": "cells", "cells": {
+        "steady/tsue": {"iops": 1.0, "recovery": {"drain_s": 0.1},
+                        "gone": 4, "perf": {"wall_s": 1.0}},
+        "rebuild_under_load/tsue": {"p99": 5.0},
+        "scale_out/fl": {"updates": 10},
+    }}
+    new = {"bench": "cells", "cells": {
+        "steady/tsue": {"iops": 2.0, "recovery": {"drain_s": 0.1},
+                        "fresh": 9, "perf": {"wall_s": 9.0}},
+        "burst/tsue": {"iops": 3.0},
+        "scale_out/fl": {"updates": 12},
+    }}
     drift = _baseline_drift(base, new)
     # Leaf cells report dotted paths with old -> new values; unchanged
     # nested leaves (recovery.drain_s) stay silent.
-    assert "scenarios.steady.iops: 1.0 -> 2.0" in drift
-    assert "scale_out.fl.updates: 10 -> 12" in drift
-    assert "scenarios.steady.gone: 4 -> <absent>" in drift
-    assert "scenarios.steady.fresh: <absent> -> 9" in drift
-    assert ("recovery.tsue: present in baseline, missing from this run"
-            in drift)
+    assert "steady/tsue.iops: 1.0 -> 2.0" in drift
+    assert "scale_out/fl.updates: 10 -> 12" in drift
+    assert "steady/tsue.gone: 4 -> <absent>" in drift
+    assert "steady/tsue.fresh: <absent> -> 9" in drift
+    assert ("rebuild_under_load/tsue: present in baseline, missing from "
+            "this run" in drift)
     assert not any("drain_s" in d for d in drift)
-    # New rows are additions, not drift; perf is ignored entirely.
+    # New cells are additions, not drift; perf is ignored entirely.
     assert not any("burst" in d or "perf" in d for d in drift)
     assert _baseline_drift(base, base) == []
+
+
+def test_baseline_drift_reports_missing_cells_and_ignores_perf():
+    from repro.cli import _baseline_drift
+
+    row = {"iops": 1.0, "perf": {"wall_s": 1.0, "peak_rss_kb": 10.0}}
+    base = {"cells": {"steady/tsue": row, "steady/fo": {"iops": 2.0}}}
+    new = {"cells": {"steady/tsue": {"iops": 1.0,
+                                     "perf": {"wall_s": 7.0}}}}
+    assert _baseline_drift(base, new) == [
+        "steady/fo: present in baseline, missing from this run"
+    ]
 
 
 def test_cli_bench_scenario_subset_and_no_methods(tmp_path, capsys):
@@ -241,8 +246,6 @@ def test_cli_bench_scenario_subset_and_no_methods(tmp_path, capsys):
 
     path = tmp_path / "bench.json"
     rc = main(["bench", "--clients", "2", "--requests", "30",
-               "--scenarios", "steady", "--methods", "--json", str(path)])
+               "--cells", "steady/tsue", "--json", str(path)])
     assert rc == 0
-    payload = json.loads(path.read_text())
-    assert set(payload["scenarios"]) == {"steady"}
-    assert "methods" not in payload
+    assert set(json.loads(path.read_text())["cells"]) == {"steady/tsue"}

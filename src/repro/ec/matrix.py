@@ -11,48 +11,32 @@ Both constructions the paper names (Eq. 1) are provided:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.gf.arithmetic import _EXP, _LOG, _MUL_TABLE, gf_inv
-
-# Reusable gather scratch for gf_matmul (see comment at the use site).
-_MATMUL_SCRATCH = [np.empty(0, dtype=np.uint8)]
+from repro.gf.arithmetic import _EXP, _LOG, _MUL_TABLE, gf_inv, gf_mul_acc
 
 
-def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def gf_matmul(a: np.ndarray, b: Sequence[np.ndarray]) -> np.ndarray:
     """Matrix product over GF(256).
 
-    Works for 2-D x 2-D and 2-D x (2-D of payload columns); payload matmul
-    (coding_matrix @ data_blocks) is the hot path, so the inner loop runs one
-    vectorised table-gather + XOR reduction per (row, k) pair.
+    ``b`` is a 2-D array or a sequence of equal-length 1-D rows, so payload
+    blocks (coding_matrix @ data_blocks, the hot path) pass straight in
+    without a stacking copy.  Each output row is one :func:`gf_mul_acc`.
     """
     a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("gf_matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    # One reusable gather buffer: np.take(..., out=) instead of fancy
-    # indexing removes the temporary allocation per (row, k) term — this
-    # runs once per stripe in every consistency gate and scrub.  The
-    # buffer is module-global (monotonically grown, views serve smaller
-    # calls): the simulation is single-threaded and the scratch never
-    # escapes the call, so one process-wide buffer removes the remaining
-    # allocation per matmul.
-    tmp = _MATMUL_SCRATCH[0]
-    if tmp.size < b.shape[1]:
-        tmp = _MATMUL_SCRATCH[0] = np.empty(b.shape[1], dtype=np.uint8)
-    tmp = tmp[: b.shape[1]]
-    for i in range(a.shape[0]):
-        acc = out[i]
-        row = a[i]
-        for k in range(a.shape[1]):
-            coeff = row[k]
-            if coeff == 0:
-                continue
-            np.take(_MUL_TABLE[coeff], b[k], out=tmp)
-            np.bitwise_xor(acc, tmp, out=acc)
+    rows = [np.asarray(r, dtype=np.uint8) for r in b]
+    if a.ndim != 2 or any(r.ndim != 1 for r in rows):
+        raise ValueError("gf_matmul expects a 2-D matrix and 1-D rows")
+    if a.shape[1] != len(rows):
+        raise ValueError(f"shape mismatch {a.shape} @ {len(rows)} rows")
+    sizes = {r.size for r in rows}
+    if len(sizes) > 1:
+        raise ValueError(f"rows must be equal-length, got sizes {sorted(sizes)}")
+    out = np.empty((a.shape[0], sizes.pop() if sizes else 0), dtype=np.uint8)
+    for coeffs, acc in zip(a.tolist(), out):
+        gf_mul_acc(coeffs, rows, acc)
     return out
 
 

@@ -26,7 +26,7 @@ from repro.ec.matrix import (
     systematic_cauchy,
     systematic_vandermonde,
 )
-from repro.gf.arithmetic import _MUL_BYTES, _MUL_TABLE
+from repro.gf.arithmetic import _MUL_BYTES
 
 
 class RSCodec:
@@ -64,8 +64,9 @@ class RSCodec:
         """Compute the m parity blocks for k equal-length data blocks.
 
         Ghost plane: a GF matrix product of metadata-only extents is pure
-        size bookkeeping — validate the geometry exactly as ``_stack``
-        would, then return one fresh ghost extent per parity block.
+        size bookkeeping — validate the block count and equal lengths as
+        ``gf_matmul`` does, then return one fresh ghost extent per parity
+        block.
         """
         if any(is_ghost(b) for b in data_blocks):
             if len(data_blocks) != self.k:
@@ -79,8 +80,7 @@ class RSCodec:
                 )
             n = sizes.pop()
             return [GhostExtent(n, tag="parity") for _ in range(self.m)]
-        stacked = self._stack(data_blocks, self.k)
-        parity = gf_matmul(self.parity_matrix, stacked)
+        parity = gf_matmul(self.parity_matrix, data_blocks)
         # Rows of the freshly computed product — views, not per-row copies.
         # The rows are disjoint and the 2-D base is exclusively theirs.
         return list(parity)
@@ -95,8 +95,33 @@ class RSCodec:
         """Recover all k data blocks from any k surviving shards.
 
         ``shards`` maps global block index (0..k+m-1; parity starts at k) to
-        its payload.  Raises ``ValueError`` with fewer than k shards.
+        its payload.  Raises ``ValueError`` with fewer than k shards or an
+        index outside 0..k+m-1.
         """
+        return list(self._solve(shards, range(self.k), block_size))
+
+    def reconstruct(
+        self, shards: Mapping[int, np.ndarray], missing: Iterable[int]
+    ) -> Dict[int, np.ndarray]:
+        """Rebuild the requested missing block indices (data or parity)."""
+        missing = list(missing)
+        return dict(zip(missing, self._solve(shards, missing)))
+
+    def _solve(
+        self,
+        shards: Mapping[int, np.ndarray],
+        wanted: Sequence[int],
+        block_size: Optional[int] = None,
+    ) -> np.ndarray:
+        """Blocks ``wanted`` straight from k shards: one ``R @ shards``.
+
+        ``R = G[wanted] @ inv(G[idx])`` maps the k shards back to the data
+        and on to the wanted blocks; the product is exact over the field, so
+        each row equals decode-then-encode while computing only its own.
+        """
+        for b in (*shards, *wanted):
+            if not 0 <= b < self.k + self.m:
+                raise ValueError(f"block index {b} out of range")
         if len(shards) < self.k:
             raise ValueError(
                 f"need at least k={self.k} shards to decode, got {len(shards)}"
@@ -108,31 +133,11 @@ class RSCodec:
                 "byte plane"
             )
         idx = sorted(shards)[: self.k]
-        sub = self.generator[idx]
-        inv = gf_matinv(sub)
-        stacked = self._stack([shards[i] for i in idx], self.k, block_size)
-        data = gf_matmul(inv, stacked)
-        # Rows of a fresh product; see encode().
-        return list(data)
-
-    def reconstruct(
-        self, shards: Mapping[int, np.ndarray], missing: Iterable[int]
-    ) -> Dict[int, np.ndarray]:
-        """Rebuild the requested missing block indices (data or parity)."""
-        missing = list(missing)
-        data = self.decode(shards)
-        out: Dict[int, np.ndarray] = {}
-        parity_cache: Optional[List[np.ndarray]] = None
-        for b in missing:
-            if b < 0 or b >= self.k + self.m:
-                raise ValueError(f"block index {b} out of range")
-            if b < self.k:
-                out[b] = data[b]
-            else:
-                if parity_cache is None:
-                    parity_cache = self.encode(data)
-                out[b] = parity_cache[b - self.k]
-        return out
+        rows = [shards[i] for i in idx]
+        if block_size is not None and any(np.size(r) != block_size for r in rows):
+            raise ValueError("block size mismatch")
+        recover = gf_matmul(self.generator[list(wanted)], gf_matinv(self.generator[idx]))
+        return gf_matmul(recover, rows)
 
     # ------------------------------------------------------------------
     # incremental-update identities
@@ -169,31 +174,17 @@ class RSCodec:
         """
         return combine_deltas(self.parity_matrix, parity_index, deltas)
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _stack(
-        blocks: Sequence[np.ndarray], expect: int, block_size: Optional[int] = None
-    ) -> np.ndarray:
-        if len(blocks) != expect:
-            raise ValueError(f"expected {expect} blocks, got {len(blocks)}")
-        arrs = [np.asarray(b, dtype=np.uint8) for b in blocks]
-        sizes = {a.size for a in arrs}
-        if len(sizes) != 1:
-            raise ValueError(f"blocks must be equal-length, got sizes {sorted(sizes)}")
-        if block_size is not None and sizes.pop() != block_size:
-            raise ValueError("block size mismatch")
-        return np.stack(arrs, axis=0)
-
 
 def parity_delta(coeff: int, data_delta: np.ndarray) -> np.ndarray:
     """Eq. (2) helper for a raw coefficient.
 
     Returns a fresh, writable array (callers hand the patch to log indexes
-    that take ownership).  ``bytes.translate`` against a cached 256-byte
+    that take ownership).  ``bytearray.translate`` against a cached 256-byte
     row replaces numpy fancy indexing — same values, no index-dtype
-    conversion, ~3-5x faster on update-sized buffers; coefficient 1 (the
-    XOR parity row of every systematic construction) degenerates to one
-    memcpy and 0 to a calloc.
+    conversion, one copy into the ``bytearray`` (about half the time of
+    numpy fancy indexing at 16-64 KiB); coefficient 1 (the XOR parity row
+    of every systematic construction) degenerates to one memcpy and 0 to a
+    calloc.
 
     Ghost plane: the GF(2^8) scalar multiply of a metadata-only extent is
     a same-length extent — return a fresh ghost (the byte plane returns a
@@ -208,8 +199,7 @@ def parity_delta(coeff: int, data_delta: np.ndarray) -> np.ndarray:
     if coeff == 0:
         return np.zeros_like(data_delta)
     out = np.frombuffer(
-        bytearray(data_delta.tobytes().translate(_MUL_BYTES[coeff])),
-        dtype=np.uint8,
+        bytearray(data_delta).translate(_MUL_BYTES[coeff]), dtype=np.uint8
     )
     return out if data_delta.ndim == 1 else out.reshape(data_delta.shape)
 
@@ -225,22 +215,6 @@ def merge_delta(older: np.ndarray, newer: np.ndarray) -> np.ndarray:
     if older.shape != newer.shape:
         raise ValueError("merge_delta requires equal-shape deltas")
     return np.bitwise_xor(older, newer)
-
-
-# Reusable scratch for the table-gather temporary inside combine_deltas.
-# The simulation is single-threaded and the scratch never escapes the
-# call, so one process-wide buffer is safe; it removes the one numpy
-# allocation per folded delta.  A single monotonically-grown buffer (views
-# serve smaller sizes) keeps the footprint bounded by the largest delta
-# ever combined, instead of one retained buffer per distinct size.
-_SCRATCH: List[np.ndarray] = [np.empty(0, dtype=np.uint8)]
-
-
-def _scratch(n: int) -> np.ndarray:
-    buf = _SCRATCH[0]
-    if buf.size < n:
-        buf = _SCRATCH[0] = np.empty(n, dtype=np.uint8)
-    return buf[:n]
 
 
 def combine_deltas(
@@ -265,11 +239,5 @@ def combine_deltas(
     if any(is_ghost(d) for _, d in items):
         # Eq. (5) over ghosts: the folded patch is length bookkeeping.
         return GhostExtent(int(n))
-    out = np.zeros(n, dtype=np.uint8)
-    tmp = _scratch(n)
-    for data_index, delta in items:
-        coeff = int(parity_matrix[parity_index, data_index])
-        if coeff:
-            np.take(_MUL_TABLE[coeff], np.asarray(delta, dtype=np.uint8), out=tmp)
-            np.bitwise_xor(out, tmp, out=out)
-    return out
+    coeffs = parity_matrix[parity_index, [j for j, _ in items]]
+    return gf_matmul(coeffs[np.newaxis], [d for _, d in items])[0]

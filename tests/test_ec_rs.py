@@ -67,6 +67,19 @@ def test_reconstruct_index_range_checked():
         codec.reconstruct(shards, [5])
 
 
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_decode_rejects_out_of_range_shard_index(bad):
+    # -1 used to alias the parity row (generator[-1]) and decode silently;
+    # k+m used to surface as a bare IndexError.
+    codec = RSCodec(4, 1)
+    rng = np.random.default_rng(0)
+    data = _blocks(rng, 4)
+    (parity,) = codec.encode(data)
+    shards = {bad: parity, 1: data[1], 2: data[2], 3: data[3]}
+    with pytest.raises(ValueError, match="out of range"):
+        codec.decode(shards)
+
+
 # ----------------------------------------------------------------------
 # Eq. (2): single-update parity delta
 # ----------------------------------------------------------------------
